@@ -125,6 +125,29 @@ echo "== policy-ablation smoke (informational, not gated) =="
 # the numbers are printed for the log but nothing is asserted beyond
 # the binary running to completion (grouping-policy identity is gated
 # separately by the bench_gate run and the policy_identity test).
-cargo run --offline --release -q -p scanshare-bench --bin exp_policy -- --smoke
+cargo run --offline --release -q -p scanshare-bench --bin exp -- policy --smoke
+
+echo "== experiment results reproduce the committed artifacts =="
+# `exp` with no names runs every experiment at scale 1.0, seed 42, in a
+# scratch working directory; every JSON file it writes must match the
+# committed copy under results/ byte for byte.
+root=$(pwd)
+exp_dir=$(mktemp -d)
+(cd "$exp_dir" && SCANSHARE_SCALE=1.0 SCANSHARE_SEED=42 cargo run --offline --release -q \
+    --manifest-path "$root/Cargo.toml" -p scanshare-bench --bin exp >/dev/null 2>&1)
+drift=0
+written=0
+for f in "$exp_dir"/results/*.json; do
+    written=$((written + 1))
+    if ! cmp -s "$f" "results/$(basename "$f")"; then
+        echo "FAIL: results/$(basename "$f") does not reproduce"
+        drift=1
+    fi
+done
+rm -rf "$exp_dir"
+if [ "$drift" -ne 0 ]; then
+    exit 1
+fi
+echo "all $written experiment JSON files byte-identical to results/"
 
 echo "CI green."
