@@ -55,7 +55,7 @@ pub struct HistoryEntry {
     /// the host clock is unavailable). Informational only — nothing
     /// deterministic reads it back.
     pub recorded_at: String,
-    /// The binary that produced the entry (`bench_gate`, `exp_*`, …).
+    /// The binary that produced the entry (`bench_gate`, `exp <name>`, …).
     pub source: String,
     /// Sharing policy of the measured run, when not the default.
     pub policy: Option<String>,

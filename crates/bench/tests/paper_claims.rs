@@ -12,8 +12,8 @@ use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-const NAMES: [&str; 7] = [
-    "table1", "fig19", "overhead", "fig15", "fig16", "policies", "streams",
+const NAMES: [&str; 9] = [
+    "table1", "fig17", "fig19", "overhead", "fig15", "fig16", "policies", "streams", "fairness",
 ];
 
 /// Every experiment's JSON, run once for all tests through one shared
@@ -65,6 +65,25 @@ fn table1_sharing_reads_and_seeks_less_and_finishes_sooner() {
 }
 
 #[test]
+fn fig17_sharing_reads_less_in_most_time_units() {
+    // Compare the 1 s buckets where both runs were still reading.
+    let f = &outputs()["fig17"];
+    let (base, ss) = (nums(f, "base_kb_per_bucket"), nums(f, "ss_kb_per_bucket"));
+    let both: Vec<(f64, f64)> = base
+        .iter()
+        .zip(&ss)
+        .map(|(&b, &s)| (b, s))
+        .filter(|&(b, s)| b > 0.0 && s > 0.0)
+        .collect();
+    let lower = both.iter().filter(|&&(b, s)| s < b).count();
+    assert!(
+        2 * lower > both.len(),
+        "lower in {lower} of {} buckets",
+        both.len()
+    );
+}
+
+#[test]
 fn fig19_every_stream_gains_similarly() {
     let gains = nums(&outputs()["fig19"], "gain_pct");
     assert_eq!(gains.len(), 5);
@@ -107,6 +126,25 @@ fn coordination_beats_smarter_replacement() {
         num(row, "gain_vs_lru_pct")
     };
     assert!(gain("scan-sharing") > gain("LRU-2"));
+}
+
+#[test]
+fn fairness_cap_sweep_keeps_the_gain_at_a_flat_makespan() {
+    // Every cap from 0 to 100 % still beats base, and the end-to-end
+    // time barely moves across caps: the cap is a safety valve, not a
+    // tuning knob. (Whether any query regresses depends on scale; see
+    // EXPERIMENTS.md "Known deviations".)
+    let base = num(&outputs()["table1"], "base_makespan_s");
+    let spans: Vec<f64> = rows("fairness")
+        .iter()
+        .map(|r| num(r, "makespan_s"))
+        .collect();
+    assert_eq!(spans.len(), 5);
+    assert!(spans.iter().all(|&m| m < base), "{spans:?} vs base {base}");
+    let (lo, hi) = spans
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &m| (lo.min(m), hi.max(m)));
+    assert!(hi / lo < 1.05, "makespans spread {lo:.2}..{hi:.2}");
 }
 
 #[test]

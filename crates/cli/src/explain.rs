@@ -40,6 +40,9 @@ fn kind_name(e: &DecisionEvent) -> &'static str {
         DecisionEvent::DegradedMode { .. } => "degraded",
         DecisionEvent::DriverAttach { .. } => "driver-attach",
         DecisionEvent::DriverHandoff { .. } => "driver-handoff",
+        DecisionEvent::ScanStarted { .. } => "scan-start",
+        DecisionEvent::ScanWrapped { .. } => "scan-wrap",
+        DecisionEvent::ScanFinished { .. } => "scan-finish",
     }
 }
 
@@ -170,6 +173,15 @@ pub fn render_explain(report: &RunReport, scan: Option<u64>) -> Result<String, S
             None => Ok(out),
         };
     }
+    // A capped log keeps only its newest records: say so before
+    // narrating, or the stories read as if they were complete.
+    if report.decisions_dropped > 0 {
+        let _ = writeln!(
+            out,
+            "(dropped {} older decisions)\n",
+            report.decisions_dropped
+        );
+    }
     let sorted = sorted_by_time(&report.decisions);
     let scans = scans_mentioned(&report.decisions);
 
@@ -224,23 +236,8 @@ mod tests {
     fn report_with(decisions: Vec<DecisionRecord>) -> RunReport {
         RunReport {
             makespan: SimDuration::from_secs(1),
-            stream_elapsed: vec![],
-            queries: vec![],
-            breakdown: Default::default(),
-            disk: Default::default(),
-            read_series: Default::default(),
-            seek_series: Default::default(),
-            seek_distance_series: Default::default(),
-            pool: Default::default(),
-            sharing: Default::default(),
-            metrics: Default::default(),
-            trace: vec![],
             decisions,
-            faults: Default::default(),
-            policy: None,
-            profile: None,
-            slo: Vec::new(),
-            push: None,
+            ..RunReport::default()
         }
     }
 

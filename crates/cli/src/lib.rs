@@ -12,10 +12,11 @@
 //! Argument parsing is hand-rolled (no extra dependencies): flags are
 //! `--name value` pairs validated against each subcommand's schema.
 
+use scanshare::DecisionRecord;
 use scanshare::{DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler};
 use scanshare_engine::{
     run_workload, run_workload_hooked, Database, FaultsConfig, RunHooks, RunReport, SharingMode,
-    Tracer, WorkloadSpec,
+    WorkloadSpec,
 };
 use scanshare_tpch::{generate, q1, q6, staggered_workload, throughput_workload, TpchConfig};
 use serde::{Deserialize, Serialize};
@@ -25,6 +26,7 @@ pub mod explain;
 pub mod history;
 pub mod profile;
 pub mod render;
+pub mod trace;
 pub mod watch;
 
 /// A self-contained run description: the database to generate plus the
@@ -142,15 +144,14 @@ pub enum Command {
     Help,
 }
 
-/// Where `run` saves its artifacts, if anywhere. The measured run (the
-/// scan-sharing side under `--compare`) executes with a tracer attached
-/// whenever either output is requested, so the saved report embeds both
-/// the metrics snapshot and the replayable event log.
+/// Where `run` saves its artifacts, if anywhere: the measured run (the
+/// scan-sharing side under `--compare`). Its report always embeds the
+/// metrics snapshot and, in sharing mode, the replayable event log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOutputs {
     /// `--report OUT`: full [`RunReport`] as JSON.
     pub report: Option<String>,
-    /// `--trace-out OUT`: the trace alone, as JSON-lines.
+    /// `--trace-out OUT`: the event log alone, as JSON-lines.
     pub trace: Option<String>,
     /// `--profile-out OUT`: span profile as Chrome trace-event JSON
     /// (open at ui.perfetto.dev). Also embeds the folded
@@ -159,17 +160,13 @@ pub struct RunOutputs {
 }
 
 impl RunOutputs {
-    fn any(&self) -> bool {
-        self.report.is_some() || self.trace.is_some()
-    }
-
     fn save(&self, r: &RunReport) -> Result<(), String> {
         if let Some(path) = &self.report {
             scanshare_engine::persist::save_report(r, path)?;
             eprintln!("report saved to {path}");
         }
         if let Some(path) = &self.trace {
-            let jsonl = scanshare_engine::trace::records_to_jsonl(&r.trace);
+            let jsonl = scanshare::decision::decisions_to_jsonl(&r.decisions);
             std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("trace saved to {path}");
         }
@@ -385,7 +382,7 @@ USAGE:
       driver fixes each page once and pushes it through every attached
       consumer's row pipeline; the report gains a \"push\" section with
       driver/attach/catch-up counters);
-      --report saves the full RunReport (metrics + trace) as JSON,
+      --report saves the full RunReport (metrics + event log) as JSON,
       --trace-out saves the event log alone as JSON-lines, and
       --profile-out records a hierarchical span profile and saves it as
       Chrome trace-event JSON (open at ui.perfetto.dev; one track per
@@ -400,7 +397,7 @@ USAGE:
       injected faults aborted at least one scan (degraded run), and 4
       when the run completed but breached at least one SLO rule.
   scanshare trace --artifact FILE
-      Replay a saved RunReport (or raw JSON-lines trace): scan
+      Replay a saved RunReport (or a --trace-out JSON-lines log): scan
       lifecycles with attributed throttle waits, then the event log.
   scanshare metrics --artifact FILE [--quantiles]
       Render a saved RunReport's metrics snapshot: counters, latency
@@ -651,8 +648,8 @@ pub fn execute(cmd: Command) -> i32 {
             jobs,
         } => run_bench(streams, scale, seed, runs, jobs),
         Command::Trace { artifact } => match load_artifact_trace(&artifact) {
-            Ok(records) => {
-                print!("{}", render::render_trace(&records));
+            Ok((records, dropped)) => {
+                print!("{}", render::render_trace(&records, dropped));
                 0
             }
             Err(e) => {
@@ -873,14 +870,17 @@ pub fn load_report(path: &str) -> Result<RunReport, String> {
     scanshare_engine::persist::load_report(path)
 }
 
-/// Load the trace of an artifact: either a [`RunReport`] JSON (the
-/// embedded trace) or a raw JSON-lines file from `--trace-out`.
-pub fn load_artifact_trace(path: &str) -> Result<Vec<scanshare_engine::TraceRecord>, String> {
+/// Load the event log of an artifact, with the number of older records
+/// its cap dropped: either a [`RunReport`] JSON (the embedded decisions)
+/// or a raw JSON-lines file from `--trace-out` (which carries no dropped
+/// count).
+pub fn load_artifact_trace(path: &str) -> Result<(Vec<DecisionRecord>, u64), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if let Ok(report) = serde_json::from_str::<RunReport>(&text) {
-        return Ok(report.trace);
+        return Ok((report.decisions, report.decisions_dropped));
     }
-    scanshare_engine::trace::records_from_jsonl(&text)
+    scanshare::decision::decisions_from_jsonl(&text)
+        .map(|records| (records, 0))
         .map_err(|e| format!("{path} is neither a RunReport nor a JSONL trace: {e}"))
 }
 
@@ -891,7 +891,6 @@ fn run_measured(
 ) -> Result<RunReport, String> {
     let profiler = outputs.profile.as_ref().map(|_| SpanProfiler::default());
     let hooks = RunHooks {
-        tracer: outputs.any().then(|| Tracer::new(1 << 16)),
         profiler: profiler.clone(),
         ..RunHooks::default()
     };
@@ -1256,15 +1255,15 @@ mod tests {
             0
         );
 
-        // The saved report replays: embedded trace matches the JSONL
-        // side channel, and both renderers produce real output.
+        // The saved report replays: the embedded event log matches the
+        // JSONL side channel, and both renderers produce real output.
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
-        assert!(!report.trace.is_empty());
+        assert!(!report.decisions.is_empty());
         let from_jsonl = load_artifact_trace(outputs.trace.as_deref().unwrap()).unwrap();
         let from_report = load_artifact_trace(outputs.report.as_deref().unwrap()).unwrap();
-        assert_eq!(report.trace, from_jsonl);
-        assert_eq!(report.trace, from_report);
-        let trace_text = render::render_trace(&report.trace);
+        assert_eq!((report.decisions.clone(), 0), from_jsonl);
+        assert_eq!((report.decisions.clone(), 0), from_report);
+        let trace_text = render::render_trace(&report.decisions, 0);
         assert!(trace_text.contains("scan lifecycles"));
         let metrics_text = render::render_metrics(&report);
         assert!(metrics_text.contains("histograms"));

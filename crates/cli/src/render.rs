@@ -3,13 +3,16 @@
 //! `scanshare trace` and `scanshare metrics` replay a [`RunReport`] that
 //! a previous `scanshare run --report FILE` wrote to disk: no simulation
 //! happens here, only formatting of what the observability layer
-//! recorded — scan lifecycles reassembled from the embedded trace, and
-//! the metrics snapshot's counters, histograms, and time series drawn as
-//! fixed-width ASCII timelines.
+//! recorded — scan lifecycles reassembled from the embedded decision
+//! log, and the metrics snapshot's counters, histograms, and time series
+//! drawn as fixed-width ASCII timelines.
 
+use scanshare::decision::render_decisions;
 use scanshare::obs::{HistogramSnapshot, MetricsSnapshot, SeriesSnapshot};
-use scanshare_engine::trace::{render_records, spans, TraceRecord};
+use scanshare::DecisionRecord;
 use scanshare_engine::RunReport;
+
+use crate::trace::lifecycles;
 
 /// Columns in a rendered timeline.
 const TIMELINE_WIDTH: usize = 48;
@@ -300,12 +303,17 @@ pub fn render_report_diff(a: &str, b: &str, d: &crate::diff::ReportDiff) -> Stri
     out
 }
 
-/// Render the embedded trace of a saved run: one row per scan lifecycle
-/// (start → wraps → finish, with attributed throttle waits), followed by
-/// the raw event log.
-pub fn render_trace(records: &[TraceRecord]) -> String {
+/// Render a saved run's event log: one row per scan lifecycle (start →
+/// wraps → finish, with attributed throttle waits), followed by the log
+/// itself. `dropped` counts older records the log's cap discarded; when
+/// nonzero the output says so, since the rows then cover only the
+/// retained suffix.
+pub fn render_trace(records: &[DecisionRecord], dropped: u64) -> String {
     let mut out = String::new();
-    let spans = spans(records);
+    if dropped > 0 {
+        out.push_str(&format!("(dropped {dropped} older decisions)\n"));
+    }
+    let spans = lifecycles(records);
     out.push_str(&format!("== scan lifecycles ({}) ==\n", spans.len()));
     out.push_str(&format!(
         "  {:<6} {:<10} {:<7} {:<22} {:>9} {:>9} {:>9} {:>6} {:>9} {:>12}\n",
@@ -344,7 +352,7 @@ pub fn render_trace(records: &[TraceRecord]) -> String {
         ));
     }
     out.push_str(&format!("\n== events ({}) ==\n", records.len()));
-    out.push_str(&render_records(records));
+    out.push_str(&render_decisions(records));
     out
 }
 
@@ -435,27 +443,24 @@ mod tests {
 
     #[test]
     fn render_trace_lists_lifecycles_and_events() {
-        use scanshare_engine::trace::{TraceEvent, Tracer};
-        let tracer = Tracer::new(16);
-        let t0 = SimTime::ZERO;
-        tracer.record(
-            t0,
-            TraceEvent::ScanStarted {
-                scan: scanshare::ScanId(7),
+        use scanshare::{DecisionEvent, DecisionLog, ScanId};
+        let log = DecisionLog::new(16);
+        log.record(
+            SimTime::ZERO,
+            DecisionEvent::ScanStarted {
+                scan: ScanId(7),
                 query: "Q6".into(),
                 stream: 0,
-                placement: "fresh".into(),
             },
         );
-        tracer.record(
+        log.record(
             SimTime::from_secs(2),
-            TraceEvent::ScanFinished {
-                scan: scanshare::ScanId(7),
-            },
+            DecisionEvent::ScanFinished { scan: ScanId(7) },
         );
-        let text = render_trace(&tracer.records());
+        let text = render_trace(&log.records(), 0);
         assert!(text.contains("scan lifecycles (1)"));
         assert!(text.contains("Q6"));
         assert!(text.contains("events (2)"));
+        assert!(!text.contains("dropped"));
     }
 }

@@ -80,12 +80,7 @@ impl std::str::FromStr for DeliveryMode {
 /// Tunables of the scan-sharing manager. Defaults mirror the papers'
 /// prototype: 16-page extents, a drift threshold of two prefetch extents,
 /// and an 80 % fairness cap on accumulated slowdown.
-///
-/// `Serialize`/`Deserialize` are hand-written (see below) so the
-/// `delivery` knob only appears in serialized specs when it is not the
-/// default pull mode: spec templates and pre-push specs keep their
-/// exact bytes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SharingConfig {
     /// Size of the buffer pool the manager optimizes for, in pages. Used
     /// as the extent budget when forming groups (Figure 14) and as the
@@ -118,74 +113,15 @@ pub struct SharingConfig {
     /// to the paper's grouping+throttling; `attach` and `elevator` model
     /// the simpler sharing schemes of related work. Omitted in older
     /// workload specs, which therefore keep their exact behavior.
+    #[serde(default)]
     pub policy: SharingPolicyKind,
     /// How pages reach a group's consumers: every scan pulls its own
     /// pages (default) or a single group driver pushes each fixed extent
     /// through all attached consumers. Omitted from serialized specs
     /// when default so pre-push specs and spec templates keep their
     /// bytes.
+    #[serde(default, skip_serializing_if = "DeliveryMode::is_pull")]
     pub delivery: DeliveryMode,
-}
-
-impl Serialize for SharingConfig {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("pool_pages", self.pool_pages.to_json_value());
-        m.insert("extent_pages", self.extent_pages.to_json_value());
-        m.insert(
-            "throttle_threshold_extents",
-            self.throttle_threshold_extents.to_json_value(),
-        );
-        m.insert("fairness_cap", self.fairness_cap.to_json_value());
-        m.insert("dynamic_fairness", self.dynamic_fairness.to_json_value());
-        m.insert("max_wait", self.max_wait.to_json_value());
-        m.insert("enable_placement", self.enable_placement.to_json_value());
-        m.insert(
-            "placement_strategy",
-            self.placement_strategy.to_json_value(),
-        );
-        m.insert("enable_throttling", self.enable_throttling.to_json_value());
-        m.insert("enable_priorities", self.enable_priorities.to_json_value());
-        m.insert("policy", self.policy.to_json_value());
-        if !self.delivery.is_pull() {
-            m.insert("delivery", self.delivery.to_json_value());
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for SharingConfig {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(m: &serde::Map, field: &str) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_json_value(v),
-                None => serde::__private::missing_field("SharingConfig", field),
-            }
-        }
-        fn opt<T: Deserialize + Default>(m: &serde::Map, field: &str) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_json_value(v),
-                None => Ok(T::default()),
-            }
-        }
-        let m = v
-            .as_object()
-            .ok_or_else(|| serde::__private::unexpected("an object (SharingConfig)", v))?;
-        Ok(SharingConfig {
-            pool_pages: req(m, "pool_pages")?,
-            extent_pages: req(m, "extent_pages")?,
-            throttle_threshold_extents: req(m, "throttle_threshold_extents")?,
-            fairness_cap: req(m, "fairness_cap")?,
-            dynamic_fairness: req(m, "dynamic_fairness")?,
-            max_wait: req(m, "max_wait")?,
-            enable_placement: req(m, "enable_placement")?,
-            placement_strategy: req(m, "placement_strategy")?,
-            enable_throttling: req(m, "enable_throttling")?,
-            enable_priorities: req(m, "enable_priorities")?,
-            policy: opt(m, "policy")?,
-            delivery: opt(m, "delivery")?,
-        })
-    }
 }
 
 impl SharingConfig {

@@ -19,9 +19,14 @@
 //! * [`DecisionEvent::PageReprioritize`] — the release-path priority the
 //!   manager picked for a scan's pages changing with its role.
 //!
+//! The same log carries each scan's lifecycle — [`DecisionEvent::ScanStarted`]
+//! (with the query and stream the engine runs it for),
+//! [`DecisionEvent::ScanWrapped`] and [`DecisionEvent::ScanFinished`] — so
+//! one event stream answers both "why" and "when": `scanshare trace`
+//! rebuilds per-scan lifecycles from it and `explain` narrates it.
+//!
 //! Events flow through a [`DecisionLog`]: a cheap shared ring buffer with
-//! a drop-oldest cap and JSONL export, mirroring the engine's `Tracer` so
-//! artifacts from either layer read the same way.
+//! a drop-oldest cap and JSONL export.
 
 use parking_lot::Mutex;
 use scanshare_storage::{PagePriority, SimDuration, SimTime};
@@ -240,6 +245,28 @@ pub enum DecisionEvent {
         /// Consumers still attached (including the new driver).
         consumers: usize,
     },
+    /// Lifecycle: the engine began executing a registered scan, right
+    /// after its placement (and, in push delivery, its driver attach).
+    ScanStarted {
+        /// The new scan.
+        scan: ScanId,
+        /// Name of the query the scan belongs to.
+        query: String,
+        /// Index of the stream running the query.
+        stream: usize,
+    },
+    /// Lifecycle: the scan wrapped around to its start key (phase two of
+    /// a scan that was placed mid-range).
+    ScanWrapped {
+        /// The wrapping scan.
+        scan: ScanId,
+    },
+    /// Lifecycle: the scan completed its range and left sharing. A scan
+    /// lost to a fault ends with [`DecisionEvent::ScanEvicted`] instead.
+    ScanFinished {
+        /// The finished scan.
+        scan: ScanId,
+    },
 }
 
 impl DecisionEvent {
@@ -258,8 +285,22 @@ impl DecisionEvent {
             | DecisionEvent::ScanEvicted { scan, .. }
             | DecisionEvent::DegradedMode { scan, .. }
             | DecisionEvent::DriverAttach { scan, .. }
-            | DecisionEvent::DriverHandoff { scan, .. } => *scan,
+            | DecisionEvent::DriverHandoff { scan, .. }
+            | DecisionEvent::ScanStarted { scan, .. }
+            | DecisionEvent::ScanWrapped { scan }
+            | DecisionEvent::ScanFinished { scan } => *scan,
         }
+    }
+
+    /// Whether the event records a scan's lifecycle (start, wrap,
+    /// finish) rather than a policy decision.
+    pub fn is_lifecycle(&self) -> bool {
+        matches!(
+            self,
+            DecisionEvent::ScanStarted { .. }
+                | DecisionEvent::ScanWrapped { .. }
+                | DecisionEvent::ScanFinished { .. }
+        )
     }
 
     /// The group (anchor) the decision names, when it names one.
@@ -336,12 +377,21 @@ impl DecisionLog {
         self.inner.lock().records.is_empty()
     }
 
-    /// The newest `n` decisions, oldest of those first (the "decision
-    /// tail" a live dashboard shows).
+    /// The newest `n` policy decisions, oldest of those first (the
+    /// "decision tail" a live dashboard shows). Lifecycle events are
+    /// skipped.
     pub fn tail(&self, n: usize) -> Vec<DecisionRecord> {
         let inner = self.inner.lock();
-        let skip = inner.records.len().saturating_sub(n);
-        inner.records.iter().skip(skip).cloned().collect()
+        let mut tail: Vec<DecisionRecord> = inner
+            .records
+            .iter()
+            .rev()
+            .filter(|r| !r.event.is_lifecycle())
+            .take(n)
+            .cloned()
+            .collect();
+        tail.reverse();
+        tail
     }
 
     /// Decisions dropped due to the cap.
@@ -353,18 +403,6 @@ impl DecisionLog {
     /// [`decisions_from_jsonl`].
     pub fn to_jsonl(&self) -> String {
         decisions_to_jsonl(&self.records())
-    }
-
-    /// Human-readable rendering of the retained decisions. Ends with a
-    /// `(dropped N older decisions)` line when the cap was exceeded.
-    pub fn render(&self) -> String {
-        let mut out = render_decisions(&self.records());
-        let dropped = self.dropped();
-        if dropped > 0 {
-            use std::fmt::Write;
-            let _ = writeln!(out, "(dropped {dropped} older decisions)");
-        }
-        out
     }
 }
 
@@ -596,6 +634,15 @@ pub fn describe(event: &DecisionEvent) -> String {
             from.0,
             if *consumers == 1 { "" } else { "s" }
         ),
+        DecisionEvent::ScanStarted {
+            scan,
+            query,
+            stream,
+        } => format!("scan {} started for {query} (stream {stream})", scan.0),
+        DecisionEvent::ScanWrapped { scan } => {
+            format!("scan {} wrapped to its start key", scan.0)
+        }
+        DecisionEvent::ScanFinished { scan } => format!("scan {} finished its range", scan.0),
     }
 }
 
@@ -725,6 +772,13 @@ mod tests {
                 remaining_pages: 512,
                 consumers: 2,
             },
+            DecisionEvent::ScanStarted {
+                scan: ScanId(4),
+                query: "Q6".to_string(),
+                stream: 2,
+            },
+            DecisionEvent::ScanWrapped { scan: ScanId(4) },
+            DecisionEvent::ScanFinished { scan: ScanId(4) },
         ]
     }
 
@@ -735,7 +789,7 @@ mod tests {
             log.record(SimTime::from_millis(i as u64), e);
         }
         let jsonl = log.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 13);
+        assert_eq!(jsonl.lines().count(), 16);
         let back = decisions_from_jsonl(&jsonl).unwrap();
         assert_eq!(back, log.records());
         // Blank lines tolerated; garbage names its line.
@@ -761,7 +815,6 @@ mod tests {
         assert_eq!(log.records().len(), 2);
         assert_eq!(log.dropped(), 3);
         assert_eq!(log.records()[0].event.scan(), ScanId(3));
-        assert!(log.render().contains("(dropped 3 older decisions)"));
     }
 
     #[test]
@@ -783,6 +836,12 @@ mod tests {
         assert_eq!(tail[0].event.scan(), ScanId(4));
         assert_eq!(tail[1].event.scan(), ScanId(5));
         assert_eq!(log.tail(100).len(), 6);
+        // Lifecycle events never displace policy decisions from the tail.
+        log.record(
+            SimTime::from_millis(7),
+            DecisionEvent::ScanFinished { scan: ScanId(5) },
+        );
+        assert_eq!(log.tail(2), tail);
     }
 
     #[test]
@@ -838,6 +897,9 @@ mod tests {
             consumers: 1,
         });
         assert!(founder.contains("nothing to catch up"), "got: {founder}");
+        assert_eq!(describe(&events[13]), "scan 4 started for Q6 (stream 2)");
+        assert!(describe(&events[14]).contains("wrapped"));
+        assert!(describe(&events[15]).contains("finished"));
     }
 
     #[test]
@@ -857,6 +919,12 @@ mod tests {
         assert_eq!(events[11].group(), None);
         assert_eq!(events[12].scan(), ScanId(1));
         assert_eq!(events[12].group(), None);
+        for e in &events[13..] {
+            assert_eq!(e.scan(), ScanId(4));
+            assert_eq!(e.group(), None);
+            assert!(e.is_lifecycle());
+        }
+        assert!(events[..13].iter().all(|e| !e.is_lifecycle()));
     }
 
     #[test]

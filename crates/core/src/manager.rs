@@ -653,13 +653,15 @@ impl ScanSharingManager {
         state.anchor_offset = offset;
         state.location = location;
         state.last_update = now;
+        self.emit(now, DecisionEvent::ScanWrapped { scan: id });
     }
 
     /// `endSISCAN`: deregister and remember the final location so a
     /// later lone scan can pick up the leftovers.
-    pub fn end_scan(&self, id: ScanId, _now: SimTime) {
+    pub fn end_scan(&self, id: ScanId, now: SimTime) {
         let mut inner = self.inner.lock();
         if let Some(state) = inner.scans.remove(&id) {
+            self.emit(now, DecisionEvent::ScanFinished { scan: id });
             inner.stats.scans_finished += 1;
             let churn_at_end = inner.total_pages_advanced;
             inner.last_finished.insert(
@@ -671,6 +673,19 @@ impl ScanSharingManager {
                 },
             );
         }
+    }
+
+    /// The engine began executing scan `id` for `query` on `stream`:
+    /// record the start of its lifecycle next to its placement decision.
+    pub fn note_scan_started(&self, id: ScanId, now: SimTime, query: &str, stream: usize) {
+        self.emit(
+            now,
+            DecisionEvent::ScanStarted {
+                scan: id,
+                query: query.to_string(),
+                stream,
+            },
+        );
     }
 
     /// The engine observed a fault plan firing in the scan's I/O path:
@@ -1281,6 +1296,31 @@ mod tests {
         let o = m.update_location(s1, SimTime::from_secs(2), Location::new(5, 5), 5);
         assert_eq!(o.wait, SimDuration::ZERO);
         assert_eq!(m.stats().scans_finished, 1);
+    }
+
+    #[test]
+    fn lifecycle_events_follow_start_wrap_and_end() {
+        use crate::decision::{describe, DecisionLog};
+        let m = mgr(1000);
+        let log = DecisionLog::new(64);
+        m.attach_decision_log(log.clone());
+        let (s1, _) = m.start_scan(table_desc(0, 100, 1), SimTime::ZERO);
+        m.note_scan_started(s1, SimTime::ZERO, "Q6", 3);
+        // The second round records nothing: the scan has ended.
+        for t in [1, 2] {
+            m.wrap_scan(s1, SimTime::from_secs(t), Location::new(0, 0));
+            m.end_scan(s1, SimTime::from_secs(t));
+        }
+        let lifecycle: Vec<String> = (log.records().iter())
+            .filter(|r| r.event.is_lifecycle())
+            .map(|r| format!("{}s {}", r.at.as_micros() / 1_000_000, describe(&r.event)))
+            .collect();
+        let expected = [
+            "0s scan 0 started for Q6 (stream 3)",
+            "1s scan 0 wrapped to its start key",
+            "1s scan 0 finished its range",
+        ];
+        assert_eq!(lifecycle, expected);
     }
 
     #[test]

@@ -7,7 +7,9 @@ use crate::anchor::AnchorId;
 use crate::grouping::Role;
 
 /// Identifier of a registered scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct ScanId(pub u64);
 
 /// Identifier of the object being scanned (a table, or an index over a

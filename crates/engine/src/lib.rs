@@ -35,7 +35,6 @@ pub mod push;
 pub mod query;
 pub mod scan_exec;
 pub mod slo;
-pub mod trace;
 pub mod workload;
 
 pub use cost::{CpuClass, EngineConfig};
@@ -46,8 +45,7 @@ pub use metrics::{Breakdown, PushSummary, QueryRecord, RunReport};
 pub use par_runs::{par_map, run_workloads};
 pub use query::{Access, AggSpec, Pred, Query, QueryResult, ScanSpec};
 pub use slo::{SloConfig, SloOp, SloRule, SloVerdict};
-pub use trace::{TraceEvent, TraceRecord, Tracer};
 pub use workload::{
-    run_workload, run_workload_hooked, run_workload_traced, RunHooks, SharingMode, Stream,
-    WatchFrame, WatchObserver, WorkloadSpec,
+    run_workload, run_workload_hooked, RunHooks, SharingMode, Stream, WatchFrame, WatchObserver,
+    WorkloadSpec,
 };

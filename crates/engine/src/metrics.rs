@@ -5,7 +5,6 @@ use scanshare_storage::{DiskStats, PoolStats, SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultSummary;
-use crate::trace::TraceRecord;
 
 /// CPU usage breakdown over a run, mirroring the paper's Figures 15/16
 /// ("distribution of CPU time spent in user time, system time, idling,
@@ -110,11 +109,11 @@ impl PushSummary {
 
 /// Everything measured over one workload run.
 ///
-/// `Serialize`/`Deserialize` are hand-written (see below) so the
-/// `faults` section only appears in artifacts when something was
-/// actually injected: fault-free runs stay byte-identical to artifacts
-/// written before fault injection existed.
-#[derive(Debug, Clone)]
+/// Optional sections (`faults`, `policy`, `profile`, `slo`, `push`,
+/// `decisions_dropped`) are omitted from artifacts when empty, so a
+/// default run stays byte-identical to artifacts written before each
+/// section existed; missing sections read back as empty.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunReport {
     /// End-to-end time of the run (last stream finish).
     pub makespan: SimDuration,
@@ -131,6 +130,7 @@ pub struct RunReport {
     /// Seeks per time bucket (Figure 18).
     pub seek_series: TimeSeries,
     /// Head-travel distance per time bucket, in pages.
+    #[serde(default)]
     pub seek_distance_series: TimeSeries,
     /// Buffer pool counters.
     pub pool: PoolStats,
@@ -140,114 +140,50 @@ pub struct RunReport {
     /// latency histograms, and the interval-sampled time series
     /// (per-group leader-trailer distance, per-scan slowdown vs the
     /// fairness cap, pool hit ratio, evictions, seek distance).
+    #[serde(default)]
     pub metrics: MetricsSnapshot,
-    /// The retained trace events, when a tracer was attached (empty
-    /// otherwise) — what `scanshare trace` replays.
-    pub trace: Vec<TraceRecord>,
-    /// Decision-provenance events recorded by the sharing manager
-    /// (empty in base mode and in older artifacts) — what `scanshare
-    /// explain` narrates.
+    /// The run's event log as recorded by the sharing manager: every
+    /// policy decision plus each scan's start, wraps and finish (empty
+    /// in base mode and in older artifacts) — what `scanshare explain`
+    /// narrates and `scanshare trace` reassembles into lifecycles.
+    #[serde(default)]
     pub decisions: Vec<scanshare::DecisionRecord>,
+    /// Older decisions the log's ring buffer dropped past its cap, so
+    /// `decisions` is a suffix of the full log when nonzero. Omitted
+    /// from artifacts when zero.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub decisions_dropped: u64,
     /// Fault-injection and retry accounting (all zero — and omitted
     /// from artifacts — when the run carried no fault plan).
+    #[serde(default, skip_serializing_if = "FaultSummary::is_empty")]
     pub faults: FaultSummary,
     /// The non-default sharing policy the run used, if any. `None` — and
     /// omitted from artifacts — for base runs and for the default
     /// grouping policy, so default-policy reports stay byte-identical to
     /// artifacts written before the policy framework existed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub policy: Option<scanshare::SharingPolicyKind>,
     /// Span-profiler summary, present only when profiling was requested
     /// (`--profile-out` or an attached [`scanshare::SpanProfiler`]).
     /// Omitted from artifacts when `None`, so unprofiled reports stay
     /// byte-identical to artifacts written before profiling existed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub profile: Option<scanshare::ProfileSummary>,
     /// SLO rule verdicts, one per rule in the workload spec's `slo`
     /// section (empty — and omitted from artifacts — when the spec
     /// declares no rules).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub slo: Vec<crate::slo::SloVerdict>,
     /// Push-delivery counters, present only when the run used
     /// `delivery: push`. `None` — and omitted from artifacts — for pull
     /// runs, so default-mode reports stay byte-identical to artifacts
     /// written before push delivery existed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub push: Option<PushSummary>,
 }
 
-impl Serialize for RunReport {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("makespan", self.makespan.to_json_value());
-        m.insert("stream_elapsed", self.stream_elapsed.to_json_value());
-        m.insert("queries", self.queries.to_json_value());
-        m.insert("breakdown", self.breakdown.to_json_value());
-        m.insert("disk", self.disk.to_json_value());
-        m.insert("read_series", self.read_series.to_json_value());
-        m.insert("seek_series", self.seek_series.to_json_value());
-        m.insert(
-            "seek_distance_series",
-            self.seek_distance_series.to_json_value(),
-        );
-        m.insert("pool", self.pool.to_json_value());
-        m.insert("sharing", self.sharing.to_json_value());
-        m.insert("metrics", self.metrics.to_json_value());
-        m.insert("trace", self.trace.to_json_value());
-        m.insert("decisions", self.decisions.to_json_value());
-        if !self.faults.is_empty() {
-            m.insert("faults", self.faults.to_json_value());
-        }
-        if let Some(policy) = &self.policy {
-            m.insert("policy", policy.to_json_value());
-        }
-        if let Some(profile) = &self.profile {
-            m.insert("profile", profile.to_json_value());
-        }
-        if !self.slo.is_empty() {
-            m.insert("slo", self.slo.to_json_value());
-        }
-        if let Some(push) = &self.push {
-            m.insert("push", push.to_json_value());
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for RunReport {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(m: &serde::Map, field: &str) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_json_value(v),
-                None => serde::__private::missing_field("RunReport", field),
-            }
-        }
-        fn opt<T: Deserialize + Default>(m: &serde::Map, field: &str) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_json_value(v),
-                None => Ok(T::default()),
-            }
-        }
-        let m = v
-            .as_object()
-            .ok_or_else(|| serde::__private::unexpected("object", v))?;
-        Ok(RunReport {
-            makespan: req(m, "makespan")?,
-            stream_elapsed: req(m, "stream_elapsed")?,
-            queries: req(m, "queries")?,
-            breakdown: req(m, "breakdown")?,
-            disk: req(m, "disk")?,
-            read_series: req(m, "read_series")?,
-            seek_series: req(m, "seek_series")?,
-            seek_distance_series: opt(m, "seek_distance_series")?,
-            pool: req(m, "pool")?,
-            sharing: req(m, "sharing")?,
-            metrics: opt(m, "metrics")?,
-            trace: opt(m, "trace")?,
-            decisions: opt(m, "decisions")?,
-            faults: opt(m, "faults")?,
-            policy: opt(m, "policy")?,
-            profile: opt(m, "profile")?,
-            slo: opt(m, "slo")?,
-            push: opt(m, "push")?,
-        })
-    }
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 impl RunReport {

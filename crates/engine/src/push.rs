@@ -95,8 +95,6 @@ struct Consumer {
     catchup: Option<Plan>,
     /// Died to a fault: finished with a partial answer.
     aborted: bool,
-    /// Placement narration for the trace (`push-driver`, `push-rider`).
-    label: String,
 }
 
 /// The per-run push-delivery engine: driver registry, consumer registry
@@ -131,11 +129,6 @@ impl PushEngine {
     /// The manager id of an admitted consumer.
     pub fn scan_id(&self, id: ConsumerId) -> ScanId {
         self.consumers[id.0].scan
-    }
-
-    /// How the consumer joined its cohort (for tracing).
-    pub fn placement_label(&self, id: ConsumerId) -> &str {
-        &self.consumers[id.0].label
     }
 
     /// The finished consumer's answer and measurements.
@@ -211,13 +204,12 @@ impl PushEngine {
                 break;
             }
         }
-        let (driver, label, catchup) = match joined {
+        let (driver, catchup) = match joined {
             Some((di, missed)) => {
                 let drv = &mut self.drivers[di];
                 drv.attached.push(cid);
                 self.summary.attaches += 1;
                 let owner_scan = self.consumers[drv.owner].scan;
-                let label = format!("push-rider(driver s{}, catch-up {missed}p)", owner_scan.0);
                 let catchup = (missed > 0).then(|| drv.plan.prefix());
                 mgr.note_driver_attach(
                     scan,
@@ -227,7 +219,7 @@ impl PushEngine {
                     missed,
                     drv.attached.len() + 1,
                 );
-                (di, label, catchup)
+                (di, catchup)
             }
             None => {
                 let di = self.drivers.len();
@@ -243,7 +235,7 @@ impl PushEngine {
                 self.by_key.entry(key).or_default().push(di);
                 self.summary.drivers += 1;
                 mgr.note_driver_attach(scan, scan, object, now, 0, 1);
-                (di, "push-driver".to_string(), None)
+                (di, None)
             }
         };
         self.consumers.push(Consumer {
@@ -257,7 +249,6 @@ impl PushEngine {
             ready_at: now,
             catchup,
             aborted: false,
-            label,
         });
         Ok(Some(ConsumerId(cid)))
     }
@@ -397,16 +388,6 @@ impl PushEngine {
                     if wait > scanshare_storage::SimDuration::ZERO {
                         c.metrics.throttle_wait += wait;
                         world.throttle_hist.record(wait.as_micros());
-                        if let Some(tr) = &world.tracer {
-                            tr.record(
-                                done,
-                                crate::trace::TraceEvent::Throttled {
-                                    scan: c.scan,
-                                    wait,
-                                    role: crate::trace::role_label(out.role).to_string(),
-                                },
-                            );
-                        }
                     }
                 }
             } else if k == 0 {
@@ -521,9 +502,6 @@ impl PushEngine {
         if let Some(mgr) = world.mgr.clone() {
             mgr.end_scan(scan, now);
         }
-        if let Some(tr) = &world.tracer {
-            tr.record(now, crate::trace::TraceEvent::ScanFinished { scan });
-        }
         None
     }
 
@@ -600,9 +578,6 @@ impl PushEngine {
         let scan = self.consumers[ci].scan;
         if let Some(mgr) = world.mgr.clone() {
             mgr.evict_scan(scan, now, &reason);
-        }
-        if let Some(tr) = &world.tracer {
-            tr.record(now, crate::trace::TraceEvent::ScanFinished { scan });
         }
         world.note_scan_aborted();
         self.consumers[ci].aborted = true;

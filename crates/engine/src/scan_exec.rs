@@ -528,8 +528,6 @@ pub struct ScanExec {
     cpu: CpuClass,
     plan: Plan,
     mgr_scan: Option<ScanId>,
-    /// Human-readable description of the placement decision (tracing).
-    placement: String,
     /// Ring of this scan's recently released pages, when the scan is
     /// unshared and large: vanilla engines recycle sequential-scan
     /// buffers through a small ring instead of letting one scan flush
@@ -688,11 +686,9 @@ impl ScanExec {
             };
         let est_pages = desc.est_pages;
         let mut mgr_scan = None;
-        let mut placement = "unmanaged".to_string();
         if let (Some(mgr), true) = (world.mgr.clone(), kind_shared) {
             let (id, decision) = mgr.start_scan(desc, now);
             mgr_scan = Some(id);
-            placement = crate::trace::placement_label(&decision);
             if let scanshare::StartDecision::JoinAt {
                 location: loc,
                 back_up_pages,
@@ -766,7 +762,6 @@ impl ScanExec {
             cpu: spec.cpu,
             plan,
             mgr_scan,
-            placement,
             ring,
             needs_wrap: false,
             aborted: false,
@@ -854,9 +849,6 @@ impl ScanExec {
         let reason = format!("{kind} read fault on device {device} at page {addr}");
         if let (Some(id), Some(mgr)) = (self.mgr_scan.take(), world.mgr.clone()) {
             mgr.evict_scan(id, now, &reason);
-            if let Some(tr) = &world.tracer {
-                tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
-            }
         }
         world.note_scan_aborted();
         self.aborted = true;
@@ -875,11 +867,6 @@ impl ScanExec {
         }
     }
 
-    /// How placement started this scan (for tracing).
-    pub fn placement_label(&self) -> &str {
-        &self.placement
-    }
-
     /// Advance by one extent. Returns the time at which the scan may take
     /// its next step, or `None` once it has finished (the manager is
     /// deregistered at that point).
@@ -891,9 +878,6 @@ impl ScanExec {
         if self.finished() {
             if let (Some(id), Some(mgr)) = (self.mgr_scan.take(), world.mgr.clone()) {
                 mgr.end_scan(id, now);
-                if let Some(tr) = &world.tracer {
-                    tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
-                }
             }
             return Ok(None);
         }
@@ -925,9 +909,6 @@ impl ScanExec {
                     }
                 };
                 mgr.wrap_scan(id, now, first_loc);
-                if let Some(tr) = &world.tracer {
-                    tr.record(now, crate::trace::TraceEvent::ScanWrapped { scan: id });
-                }
             }
             self.needs_wrap = false;
         }
@@ -1024,20 +1005,10 @@ impl ScanExec {
                 if let Some(p) = &prof {
                     let s = p.begin_child("throttle.wait", done);
                     p.attr(s, "wait_us", wait.as_micros().to_string());
-                    p.attr(s, "role", crate::trace::role_label(out.role).to_string());
+                    p.attr(s, "role", scanshare::decision::role_name(out.role));
                     p.end(s, done + wait);
                 }
                 world.throttle_hist.record(wait.as_micros());
-                if let Some(tr) = &world.tracer {
-                    tr.record(
-                        done,
-                        crate::trace::TraceEvent::Throttled {
-                            scan: id,
-                            wait,
-                            role: crate::trace::role_label(out.role).to_string(),
-                        },
-                    );
-                }
             }
         }
         world.release_pages(&self.scratch.pages, priority)?;

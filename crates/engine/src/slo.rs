@@ -256,7 +256,7 @@ fn stretch_quantile(report: &RunReport, q: f64) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Breakdown, QueryRecord};
+    use crate::metrics::QueryRecord;
     use crate::query::QueryResult;
     use scanshare_storage::{SimDuration, SimTime};
 
@@ -284,28 +284,14 @@ mod tests {
         };
         RunReport {
             makespan: SimDuration::from_secs(2),
-            stream_elapsed: vec![],
             queries: vec![
                 query("Q6", 0, 100_000),
                 query("Q6", 0, 150_000),
                 query("Q6", 0, 200_000),
                 query("Q1", 0, 50_000),
             ],
-            breakdown: Breakdown::default(),
-            disk: Default::default(),
-            read_series: Default::default(),
-            seek_series: Default::default(),
-            seek_distance_series: Default::default(),
             pool,
-            sharing: Default::default(),
-            metrics: Default::default(),
-            trace: vec![],
-            decisions: vec![],
-            faults: Default::default(),
-            policy: None,
-            profile: None,
-            slo: vec![],
-            push: None,
+            ..RunReport::default()
         }
     }
 

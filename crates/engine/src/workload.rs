@@ -166,39 +166,18 @@ impl<'q> StreamTask<'q> {
                     None => None,
                 };
                 let cur = match cur {
-                    Some(cur) => {
-                        if let (Some(tr), Some(pe)) = (&world.tracer, push.as_ref()) {
-                            let CurScan::Push(cid) = &cur else {
-                                unreachable!("just admitted")
-                            };
-                            tr.record(
-                                now,
-                                crate::trace::TraceEvent::ScanStarted {
-                                    scan: pe.scan_id(*cid),
-                                    query: q.name.clone(),
-                                    stream: self.stream_idx,
-                                    placement: pe.placement_label(*cid).to_string(),
-                                },
-                            );
-                        }
-                        cur
-                    }
-                    None => {
-                        let scan = ScanExec::start(db, world, spec, now)?;
-                        if let (Some(tr), Some(id)) = (&world.tracer, scan.scan_id()) {
-                            tr.record(
-                                now,
-                                crate::trace::TraceEvent::ScanStarted {
-                                    scan: id,
-                                    query: q.name.clone(),
-                                    stream: self.stream_idx,
-                                    placement: scan.placement_label().to_string(),
-                                },
-                            );
-                        }
-                        CurScan::Pull(Box::new(scan))
-                    }
+                    Some(cur) => cur,
+                    None => CurScan::Pull(Box::new(ScanExec::start(db, world, spec, now)?)),
                 };
+                // The scan's lifecycle starts next to its placement in
+                // the decision log, tagged with its query and stream.
+                let id = match &cur {
+                    CurScan::Push(cid) => push.as_ref().map(|pe| pe.scan_id(*cid)),
+                    CurScan::Pull(scan) => scan.scan_id(),
+                };
+                if let (Some(mgr), Some(id)) = (&world.mgr, id) {
+                    mgr.note_scan_started(id, now, &q.name, self.stream_idx);
+                }
                 self.current = Some(cur);
             }
             let stepped = match self.current.as_mut().expect("just set") {
@@ -255,14 +234,14 @@ pub struct WatchFrame {
 pub type WatchObserver = Arc<dyn Fn(&WatchFrame) + Send + Sync>;
 
 /// Optional instrumentation attached to a run. All hooks compose: a run
-/// can be traced, decision-logged, and watched at the same time.
+/// can be decision-logged, watched and profiled at the same time.
 #[derive(Default)]
 pub struct RunHooks {
-    /// Event tracer; its retained records are embedded in the report.
-    pub tracer: Option<crate::trace::Tracer>,
-    /// Decision-provenance log handed to the sharing manager. When
-    /// `None`, sharing-mode runs still attach a fresh log (capacity
-    /// [`DEFAULT_DECISION_CAP`]) so every report can be explained.
+    /// The run's event log — every policy decision and each scan's
+    /// lifecycle — handed to the sharing manager. When `None`,
+    /// sharing-mode runs still attach a fresh log (capacity
+    /// [`DEFAULT_DECISION_CAP`]) so every report can be explained and
+    /// traced.
     pub decisions: Option<DecisionLog>,
     /// Callback invoked at every metrics-sample tick and once at the
     /// makespan, in event-loop order.
@@ -280,23 +259,6 @@ pub const DEFAULT_DECISION_CAP: usize = 1 << 16;
 /// Run a workload to completion and report the measurements.
 pub fn run_workload(db: &Database, spec: &WorkloadSpec) -> EngineResult<RunReport> {
     run_inner(db, spec, RunHooks::default())
-}
-
-/// Like [`run_workload`], but with a [`crate::trace::Tracer`] attached;
-/// the caller keeps the tracer handle and reads the event log afterwards.
-pub fn run_workload_traced(
-    db: &Database,
-    spec: &WorkloadSpec,
-    tracer: crate::trace::Tracer,
-) -> EngineResult<RunReport> {
-    run_inner(
-        db,
-        spec,
-        RunHooks {
-            tracer: Some(tracer),
-            ..RunHooks::default()
-        },
-    )
 }
 
 /// Like [`run_workload`], but with arbitrary [`RunHooks`] attached —
@@ -340,7 +302,6 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
     let profiler = hooks.profiler;
     let pool = BufferPool::new(PoolConfig::new(spec.pool_pages, policy));
     let mut world = ExecWorld::new(db.store(), pool, spec.engine.clone(), mgr.clone());
-    world.tracer = hooks.tracer;
     if let Some(p) = &profiler {
         world.profiler = Some(p.clone());
         if let Some(m) = &mgr {
@@ -463,11 +424,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         reg.counter("faults.scans_aborted")
             .add(faults.scans_aborted);
     }
-    let trace = world
-        .tracer
-        .as_ref()
-        .map(|t| t.records())
-        .unwrap_or_default();
+    let log = mgr.as_ref().and_then(|m| m.decision_log());
     let mut report = RunReport {
         makespan: makespan.since(SimTime::ZERO),
         stream_elapsed,
@@ -480,12 +437,8 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         pool: world.pool.stats().clone(),
         sharing: mgr.as_ref().map(|m| m.stats()).unwrap_or_default(),
         metrics: world.metrics.snapshot(makespan),
-        trace,
-        decisions: mgr
-            .as_ref()
-            .and_then(|m| m.decision_log())
-            .map(|d| d.records())
-            .unwrap_or_default(),
+        decisions: log.as_ref().map(|d| d.records()).unwrap_or_default(),
+        decisions_dropped: log.as_ref().map_or(0, |d| d.dropped()),
         faults,
         // Only a non-default policy is stamped into the report, so
         // default-policy artifacts keep their pre-framework bytes.
@@ -900,38 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn tracer_captures_sharing_decisions() {
-        use crate::trace::{TraceEvent, Tracer};
-        let db = build_db();
-        let q = q6_like("Q6", 0, 11);
-        let spec = spec(
-            &db,
-            three_staggered(&q),
-            SharingMode::ScanSharing(SharingConfig::new(0)),
-        );
-        let tracer = Tracer::new(1024);
-        run_workload_traced(&db, &spec, tracer.clone()).unwrap();
-        let records = tracer.records();
-        let starts = records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ScanStarted { .. }))
-            .count();
-        let finishes = records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ScanFinished { .. }))
-            .count();
-        assert_eq!(starts, 3);
-        assert_eq!(finishes, 3);
-        // At least one scan joined another (captured in the label).
-        assert!(records.iter().any(|r| matches!(
-            &r.event,
-            TraceEvent::ScanStarted { placement, .. } if placement.contains("join")
-        )));
-        // Rendering mentions the query.
-        assert!(tracer.render().contains("Q6"));
-    }
-
-    #[test]
     fn shared_run_reports_observability_series_and_histograms() {
         let db = build_db();
         // A fast I/O-bound scan grouped with a slow CPU-bound one over
@@ -1001,26 +922,43 @@ mod tests {
 
     #[test]
     fn traced_run_embeds_its_events_in_the_report() {
-        use crate::trace::{spans, Tracer};
+        use scanshare::DecisionEvent;
         let db = build_db();
         let q = q6_like("Q6", 0, 11);
-        let spec = spec(
+        let shared = spec(
             &db,
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let tracer = Tracer::new(4096);
-        let r = run_workload_traced(&db, &spec, tracer.clone()).unwrap();
-        assert_eq!(r.trace.len(), tracer.records().len());
-        assert!(!r.trace.is_empty());
-        let spans = spans(&r.trace);
-        assert_eq!(spans.len(), 3);
-        assert!(spans
-            .iter()
-            .all(|s| s.start.is_some() && s.finish.is_some()));
-        // An untraced run embeds nothing.
-        let quiet = run_workload(&db, &spec).unwrap();
-        assert!(quiet.trace.is_empty());
+        let r = run_workload(&db, &shared).unwrap();
+        let count =
+            |f: fn(&DecisionEvent) -> bool| r.decisions.iter().filter(|d| f(&d.event)).count();
+        // Each scan's lifecycle rides in the decision log: one start,
+        // tagged with its query, and one finish per scan.
+        assert_eq!(
+            count(|e| matches!(e, DecisionEvent::ScanStarted { query, .. } if query == "Q6")),
+            3
+        );
+        assert_eq!(
+            count(|e| matches!(e, DecisionEvent::ScanFinished { .. })),
+            3
+        );
+        assert_eq!(r.decisions_dropped, 0);
+        // At least one scan joined another.
+        assert!(count(|e| matches!(e, DecisionEvent::GroupJoin { .. })) > 0);
+        // A start is logged right after its scan's placement decision.
+        for (i, d) in r.decisions.iter().enumerate() {
+            if let DecisionEvent::ScanStarted { scan, .. } = d.event {
+                assert!(r.decisions[..i].iter().any(|p| p.event.scan() == scan
+                    && matches!(
+                        p.event,
+                        DecisionEvent::GroupStart { .. } | DecisionEvent::GroupJoin { .. }
+                    )));
+            }
+        }
+        // A base run has no manager and embeds no events.
+        let quiet = run_workload(&db, &spec(&db, three_staggered(&q), SharingMode::Base)).unwrap();
+        assert!(quiet.decisions.is_empty());
     }
 
     #[test]
@@ -1344,6 +1282,28 @@ mod tests {
         let json = serde_json::to_string(&run_workload(&db, &spec).unwrap()).unwrap();
         assert!(!json.contains("\"profile\""));
         assert!(!json.contains("\"slo\""));
+    }
+
+    #[test]
+    fn artifacts_with_an_old_trace_section_still_load() {
+        // Older reports carry a `trace` array next to `decisions`; it
+        // is ignored on load.
+        let db = build_db();
+        let q = q6_like("Q6", 0, 5);
+        let spec = spec(
+            &db,
+            three_staggered(&q),
+            SharingMode::ScanSharing(SharingConfig::new(0)),
+        );
+        let json = serde_json::to_string(&run_workload(&db, &spec).unwrap()).unwrap();
+        let old = json.replacen(
+            ",\"decisions\":",
+            ",\"trace\":[{\"at\":5,\"event\":{\"ScanFinished\":{\"scan\":1}}}],\"decisions\":",
+            1,
+        );
+        assert_ne!(old, json);
+        let loaded: RunReport = serde_json::from_str(&old).expect("old artifact loads");
+        assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
     }
 
     #[test]

@@ -1,41 +1,17 @@
-//! Property-style JSONL round-trip tests for the two event-log layers:
-//! the engine's `Tracer` and the core `DecisionLog`. Random records are
-//! generated with the repo's deterministic PRNG, serialized to JSON
-//! lines, parsed back, and compared — including the capped case, where
-//! the `dropped` count must account for every eviction.
+//! Property-style JSONL round-trip tests for the run's event log, the
+//! core `DecisionLog`: policy decisions and scan lifecycle events alike.
+//! Random records are generated with the repo's deterministic PRNG,
+//! serialized to JSON lines, parsed back, and compared — including the
+//! capped case, where the `dropped` count must account for every
+//! eviction.
 
 use scanshare::anchor::AnchorId;
 use scanshare::{
     decision, DecisionEvent, DecisionLog, DecisionRecord, Location, ObjectId, PagePriority,
     PlacementCandidate, Role, ScanId,
 };
-use scanshare_engine::trace::{records_from_jsonl, records_to_jsonl, TraceEvent, Tracer};
-use scanshare_engine::TraceRecord;
 use scanshare_prng::Rng;
 use scanshare_storage::{SimDuration, SimTime};
-
-fn random_trace_event(rng: &mut Rng) -> TraceEvent {
-    match rng.bounded_u64(4) {
-        0 => TraceEvent::ScanStarted {
-            scan: ScanId(rng.bounded_u64(100)),
-            query: format!("Q{}", rng.bounded_u64(22) + 1),
-            stream: rng.bounded_u64(8) as usize,
-            placement: ["fresh", "join scan 3", "join leftovers"][rng.bounded_u64(3) as usize]
-                .to_string(),
-        },
-        1 => TraceEvent::ScanWrapped {
-            scan: ScanId(rng.bounded_u64(100)),
-        },
-        2 => TraceEvent::Throttled {
-            scan: ScanId(rng.bounded_u64(100)),
-            wait: SimDuration::from_micros(rng.bounded_u64(500_000)),
-            role: ["leader", "middle", "trailer"][rng.bounded_u64(3) as usize].to_string(),
-        },
-        _ => TraceEvent::ScanFinished {
-            scan: ScanId(rng.bounded_u64(100)),
-        },
-    }
-}
 
 fn random_candidate(rng: &mut Rng) -> PlacementCandidate {
     PlacementCandidate {
@@ -55,7 +31,7 @@ fn random_decision_event(rng: &mut Rng) -> DecisionEvent {
     let scan = ScanId(rng.bounded_u64(100));
     let roles = [Role::Leader, Role::Middle, Role::Trailer, Role::Singleton];
     let prios = [PagePriority::Low, PagePriority::Normal, PagePriority::High];
-    match rng.bounded_u64(7) {
+    match rng.bounded_u64(10) {
         0 => DecisionEvent::GroupStart {
             scan,
             object: ObjectId(rng.bounded_u64(16)),
@@ -111,60 +87,20 @@ fn random_decision_event(rng: &mut Rng) -> DecisionEvent {
             group_extent: rng.bounded_u64(2_000),
             members: rng.bounded_u64(6) as usize + 1,
         },
-        _ => DecisionEvent::PageReprioritize {
+        6 => DecisionEvent::PageReprioritize {
             scan,
             role: roles[rng.bounded_u64(4) as usize],
             from: prios[rng.bounded_u64(3) as usize],
             to: prios[rng.bounded_u64(3) as usize],
         },
-    }
-}
-
-#[test]
-fn trace_jsonl_round_trips_random_records() {
-    let mut rng = Rng::seed_from_u64(0xC0FFEE);
-    for trial in 0..20 {
-        let n = rng.bounded_u64(60) as usize + 1;
-        let records: Vec<TraceRecord> = (0..n)
-            .map(|i| TraceRecord {
-                at: SimTime::from_micros(i as u64 * 1_000 + rng.bounded_u64(999)),
-                event: random_trace_event(&mut rng),
-            })
-            .collect();
-        let jsonl = records_to_jsonl(&records);
-        let back = records_from_jsonl(&jsonl).unwrap();
-        assert_eq!(back, records, "trial {trial} lost data in the round trip");
-    }
-}
-
-#[test]
-fn capped_tracer_drops_oldest_and_survivors_round_trip() {
-    let mut rng = Rng::seed_from_u64(7);
-    for trial in 0..10 {
-        let cap = rng.bounded_u64(20) as usize + 1;
-        let total = cap + rng.bounded_u64(50) as usize;
-        let tracer = Tracer::new(cap);
-        let mut all = Vec::new();
-        for i in 0..total {
-            let ev = random_trace_event(&mut rng);
-            tracer.record(SimTime::from_micros(i as u64), ev.clone());
-            all.push(ev);
-        }
-        let retained = tracer.records();
-        // Every eviction is accounted for...
-        assert_eq!(
-            tracer.dropped() as usize + retained.len(),
-            total,
-            "trial {trial}: dropped + retained != recorded"
-        );
-        assert_eq!(retained.len(), cap.min(total));
-        // ...the survivors are exactly the newest records, in order...
-        for (r, ev) in retained.iter().zip(&all[total - retained.len()..]) {
-            assert_eq!(&r.event, ev);
-        }
-        // ...and they survive JSONL unchanged.
-        let back = records_from_jsonl(&tracer.to_jsonl()).unwrap();
-        assert_eq!(back, retained);
+        // Lifecycle events, with free-form query names.
+        7 => DecisionEvent::ScanStarted {
+            scan,
+            query: format!("Q{}", rng.bounded_u64(22) + 1),
+            stream: rng.bounded_u64(8) as usize,
+        },
+        8 => DecisionEvent::ScanWrapped { scan },
+        _ => DecisionEvent::ScanFinished { scan },
     }
 }
 
@@ -215,8 +151,8 @@ fn capped_decision_log_drops_oldest_and_survivors_round_trip() {
 
 #[test]
 fn malformed_lines_name_their_line_number() {
-    let err = records_from_jsonl("\n{\"at\":0}\n").unwrap_err();
-    assert!(err.contains("trace line 2"), "got: {err}");
+    let err = decision::decisions_from_jsonl("\n{\"at\":0}\n").unwrap_err();
+    assert!(err.contains("decision line 2"), "got: {err}");
     let err = decision::decisions_from_jsonl("\n\n{nope}\n").unwrap_err();
     assert!(err.contains("decision line 3"), "got: {err}");
 }

@@ -1,13 +1,15 @@
-//! Run a small shared workload with the event tracer attached and print
-//! every sharing decision the manager made: placements ("join scan 0"),
-//! wrap-arounds, throttle waits, and scan lifecycles.
+//! Run a small shared workload and print its event log: every sharing
+//! decision the manager made — placements ("joins scan 0"), throttle
+//! waits, role changes — interleaved with each scan's start, wrap-around
+//! and finish.
 //!
 //! ```sh
 //! cargo run --release --example trace_walkthrough
 //! ```
 
+use scanshare_repro::core::decision::render_decisions;
 use scanshare_repro::core::SharingConfig;
-use scanshare_repro::engine::{run_workload_traced, SharingMode, Tracer};
+use scanshare_repro::engine::{run_workload, SharingMode};
 use scanshare_repro::storage::SimDuration;
 use scanshare_repro::tpch::{generate, q6, staggered_workload, TpchConfig};
 
@@ -27,12 +29,11 @@ fn main() {
         SimDuration::from_millis(40),
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
-    let tracer = Tracer::new(10_000);
-    let report = run_workload_traced(&db, &spec, tracer.clone()).expect("run");
+    let report = run_workload(&db, &spec).expect("run");
 
     println!("\n--- event log ---");
-    print!("{}", tracer.render());
-    println!("--- end of log ({} events) ---\n", tracer.records().len());
+    print!("{}", render_decisions(&report.decisions));
+    println!("--- end of log ({} events) ---\n", report.decisions.len());
 
     println!(
         "run finished in {:.2}s: {} pages read, {} seeks, {} joins, {} throttle waits",

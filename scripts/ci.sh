@@ -150,4 +150,14 @@ if [ "$drift" -ne 0 ]; then
 fi
 echo "all $written experiment JSON files byte-identical to results/"
 
+echo "== benchmark builds and runs (scanbench/) =="
+# scanbench/ is its own workspace, so the steps above never compile it.
+# Building it here catches engine API changes that break its traced copy
+# of the event loop; the short traced run exercises its answer, fidelity
+# and coverage checks, any of which exits non-zero on failure.
+cargo build --release --offline --locked --manifest-path scanbench/Cargo.toml
+cargo run --release --offline --locked -q --manifest-path scanbench/Cargo.toml -- \
+    --workload tpch5_sf1_pull --seconds 1 --trace 1 >/dev/null
+echo "scanbench built and ran tpch5_sf1_pull with tracing"
+
 echo "CI green."

@@ -1,10 +1,10 @@
 //! End-to-end tests for the features this repo adds beyond the papers'
 //! core mechanisms (each justified in DESIGN.md §5b).
 
-use scanshare_repro::core::{PlacementStrategy, QueryPriority, SharingConfig};
+use scanshare_repro::core::{DecisionEvent, PlacementStrategy, QueryPriority, SharingConfig};
 use scanshare_repro::engine::{
-    run_workload, run_workload_traced, Access, AggSpec, CpuClass, Database, EngineConfig, Pred,
-    Query, ScanSpec, SharingMode, Stream, TraceEvent, Tracer, WorkloadSpec,
+    run_workload, Access, AggSpec, CpuClass, Database, EngineConfig, Pred, Query, ScanSpec,
+    SharingMode, Stream, WorkloadSpec,
 };
 use scanshare_repro::relstore::{ColType, Column, Schema, Value};
 use scanshare_repro::storage::{ReplacementPolicy, SimDuration};
@@ -321,21 +321,31 @@ fn trace_records_the_whole_lifecycle() {
         SimDuration::from_millis(20),
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
-    let tracer = Tracer::new(4096);
-    let report = run_workload_traced(&db, &spec, tracer.clone()).unwrap();
-    let records = tracer.records();
+    let report = run_workload(&db, &spec).unwrap();
+    let records = &report.decisions;
     let starts = records
         .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ScanStarted { .. }))
+        .filter(|r| matches!(r.event, DecisionEvent::ScanStarted { .. }))
         .count();
     let finishes = records
         .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ScanFinished { .. }))
+        .filter(|r| matches!(r.event, DecisionEvent::ScanFinished { .. }))
         .count();
     assert_eq!(starts, 3);
     assert_eq!(finishes, 3);
-    // Timestamps are monotone and within the run.
-    assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
-    let end = records.last().unwrap().at;
+    // Lifecycle events are logged in event-loop order, so their
+    // timestamps are monotone; each scan's own events are monotone too
+    // (decisions land at step completion, which streams reach out of
+    // order). Everything lies within the run.
+    let lifecycle: Vec<_> = records.iter().filter(|r| r.event.is_lifecycle()).collect();
+    assert!(lifecycle.windows(2).all(|w| w[0].at <= w[1].at));
+    for scan in 0..3 {
+        let mine: Vec<_> = records
+            .iter()
+            .filter(|r| r.event.scan().0 == scan)
+            .collect();
+        assert!(mine.windows(2).all(|w| w[0].at <= w[1].at), "scan {scan}");
+    }
+    let end = records.iter().map(|r| r.at).max().unwrap();
     assert!(end.since(scanshare_repro::storage::SimTime::ZERO) <= report.makespan);
 }
